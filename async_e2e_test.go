@@ -1,7 +1,7 @@
 package photon
 
 // End-to-end tests for asynchronous buffered (FedBuff-style) aggregation:
-// a 10x straggler must no longer gate the global commit cadence, the
+// a 50x straggler must no longer gate the global commit cadence, the
 // staleness metadata must surface in the round records, and the async
 // durable control plane must survive a crash-point sweep over its WAL
 // record types — resuming mid-buffer to the bit-exact uninterrupted
@@ -411,7 +411,9 @@ func TestWriteAsyncBenchJSON(t *testing.T) {
 		AsyncMeanStaleness: staleSum / float64(len(async.recs)),
 		AsyncFinalLoss:     async.finalLoss,
 		SyncFinalLoss:      syncRun.finalLoss,
-		Comment:            "2-client TCP loopback fleet with a 10x compute straggler: FedBuff (K=1, alpha=0.5) commit rate vs the barrier-synchronized control, tiny model",
+		Comment: fmt.Sprintf("2-client TCP loopback fleet with a %dx compute straggler: "+
+			"FedBuff (K=1, alpha=0.5) commit rate vs the barrier-synchronized control, tiny model",
+			slowSteps/fastSteps),
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

@@ -90,7 +90,7 @@ func main() {
 		for ev := range job.Events() {
 			health.Observe(ev.Round, ev.Clients)
 			fmt.Printf("%5d  %7d  %10.4f  %7.2f  %9.2f\n",
-				ev.Round, ev.Clients, ev.TrainLoss, ev.Perplexity, float64(ev.CommBytes)/1e6)
+				ev.Round, ev.Clients, ev.TrainLoss, ev.ValPPL, float64(ev.CommBytes)/1e6)
 		}
 	}()
 

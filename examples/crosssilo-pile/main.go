@@ -48,8 +48,8 @@ func main() {
 	fmt.Println("round   IID    non-IID  non-IID-50%  non-IID-2tier")
 	for i := range rIID.Stats {
 		fmt.Printf("%5d  %6.1f  %7.1f  %11.1f  %13.1f\n", i+1,
-			rIID.Stats[i].Perplexity, rFull.Stats[i].Perplexity,
-			rPart.Stats[i].Perplexity, rTier.Stats[i].Perplexity)
+			rIID.Stats[i].ValPPL, rFull.Stats[i].ValPPL,
+			rPart.Stats[i].ValPPL, rTier.Stats[i].ValPPL)
 	}
 	fmt.Println("\nExpected shape (paper Fig. 7): non-IID tracks IID under full")
 	fmt.Println("participation; partial participation fluctuates more but converges;")

@@ -17,7 +17,7 @@ import (
 
 func roundsTo(res *photon.Result, target float64) string {
 	for _, s := range res.Stats {
-		if s.Perplexity > 0 && s.Perplexity <= target {
+		if s.ValPPL > 0 && s.ValPPL <= target {
 			return fmt.Sprintf("%d", s.Round)
 		}
 	}

@@ -33,7 +33,7 @@ func main() {
 		defer wg.Done()
 		fmt.Println("\nround  clients  val-perplexity")
 		for ev := range job.Events() {
-			fmt.Printf("%5d  %7d  %14.2f\n", ev.Round, ev.Clients, ev.Perplexity)
+			fmt.Printf("%5d  %7d  %14.2f\n", ev.Round, ev.Clients, ev.ValPPL)
 		}
 	}()
 

@@ -160,31 +160,31 @@ func TestServerToleratesMidRunClientLoss(t *testing.T) {
 }
 
 // TestCrashRecoveryThroughPublicAPI trains with checkpointing, "crashes",
-// and resumes from the checkpoint via Options.ResumeFrom, verifying round
+// and resumes from the checkpoint via WithResume, verifying round
 // numbering continues and progress carries over.
 func TestCrashRecoveryThroughPublicAPI(t *testing.T) {
 	path := t.TempDir() + "/global.ckpt"
-	res1, err := Pretrain(Options{Rounds: 5, CheckpointPath: path, Seed: 9})
+	res1, err := runJob(WithRounds(5), WithCheckpoint(path), WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res1.FinalPerplexity >= 64 {
 		t.Fatalf("first run did not learn: %v", res1.FinalPerplexity)
 	}
-	res2, err := Pretrain(Options{Rounds: 3, ResumeFrom: path, Seed: 9})
+	res2, err := runJob(WithRounds(3), WithResume(path), WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res2.Stats[0].Round; got != 6 {
 		t.Fatalf("resume should continue at round 6, got %d", got)
 	}
-	coldStart := res1.Stats[0].Perplexity
-	warmStart := res2.Stats[0].Perplexity
+	coldStart := res1.Stats[0].ValPPL
+	warmStart := res2.Stats[0].ValPPL
 	if !(warmStart < coldStart*0.95) {
 		t.Fatalf("resume lost progress: cold %v warm %v", coldStart, warmStart)
 	}
 	// A missing checkpoint is a clean error.
-	if _, err := Pretrain(Options{Rounds: 1, ResumeFrom: path + ".missing"}); err == nil {
+	if _, err := runJob(WithRounds(1), WithResume(path+".missing")); err == nil {
 		t.Fatal("missing resume checkpoint accepted")
 	}
 }

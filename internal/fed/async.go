@@ -170,15 +170,15 @@ func newAsyncAggregator(st *aggState, resume *asyncResume) *asyncAggregator {
 		buf:         make([]float32, len(st.global)),
 		lastContrib: make(map[string]int),
 		depth:       1,
-		cFolds: obsv.Default.Counter("photon_async_folds_total",
+		cFolds: obsv.Default.Counter(obsv.MetricAsyncFolds,
 			"Updates folded into the async staleness-weighted buffer."),
-		cRejected: obsv.Default.Counter("photon_async_rejected_total",
+		cRejected: obsv.Default.Counter(obsv.MetricAsyncRejected,
 			"Async updates dropped by admission (duplicate or below the health floor)."),
-		gFill: obsv.Default.Gauge("photon_async_buffer_fill",
+		gFill: obsv.Default.Gauge(obsv.MetricAsyncBufferFill,
 			"Updates currently folded into the async buffer (commits at K)."),
-		gStale: obsv.Default.Gauge("photon_async_staleness",
+		gStale: obsv.Default.Gauge(obsv.MetricAsyncStaleness,
 			"Staleness in versions of the most recently folded update."),
-		gVersion: obsv.Default.Gauge("photon_async_model_version",
+		gVersion: obsv.Default.Gauge(obsv.MetricAsyncModelVersion,
 			"Committed global model version."),
 	}
 	a.version = resume.committed

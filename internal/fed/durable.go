@@ -479,7 +479,7 @@ func publishRegistry(reg *ckpt.Registry, round int, global []float32, lineage ma
 	if err != nil {
 		log.Printf("fed: registry publish for round %d failed: %v", round, err)
 		obsv.Default.Counter(
-			"photon_registry_errors_total",
+			obsv.MetricRegistryErrors,
 			"Model-registry publishes that failed after a round commit.",
 		).Inc()
 	}
@@ -495,7 +495,7 @@ func noteCheckpointErr(seen *bool, err error) {
 	*seen = true
 	log.Printf("fed: async checkpoint write failed; run continues without checkpoint durability: %v", err)
 	obsv.Default.Counter(
-		"photon_ckpt_write_errors_total",
+		obsv.MetricCkptWriteErrors,
 		"Async checkpoint writes that failed and were surfaced to the run loop.",
 	).Inc()
 }

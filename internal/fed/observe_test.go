@@ -1,75 +1,149 @@
 package fed
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"photon/internal/cluster"
+	"photon/internal/link"
 	"photon/internal/metrics"
-	"photon/internal/obsv"
+	"photon/internal/testutil"
 )
 
+// wireTrip sends msg through the frame codec, as an observer receives it.
+func wireTrip(t testing.TB, msg *link.Message) *link.Message {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := link.Encode(&buf, msg); err != nil {
+		t.Fatal(err)
+	}
+	back, err := link.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+// TestObserveMessageRoundTrip fills every round-record field with a
+// distinct value and requires the observe stream to deliver the record
+// unchanged, so a field added to metrics.Round reaches observers with no
+// edit here.
 func TestObserveMessageRoundTrip(t *testing.T) {
-	rec := metrics.Round{
-		Round:             7,
-		TrainLoss:         3.25,
-		ValPPL:            41.5,
-		Clients:           4,
-		Tier:              0,
-		Depth:             2,
-		WireSentBytes:     123456,
-		WireRecvBytes:     654321,
-		CommBytes:         123456 + 654321,
-		CompressionRatio:  0.25,
-		EncodeMs:          1.5,
-		DecodeMs:          2.5,
-		WallMs:            321.5,
-		Joins:             2,
-		Evictions:         1,
-		Stragglers:        3,
-		HeartbeatRTTMs:    0.5,
-		HeartbeatRTTP99Ms: 4.5,
-		TraceID:           (1 << 52) - 17,
-		ModelVersion:      9,
-		BufferFill:        3,
-		MeanStaleness:     0.5,
-		SlowestID:         "relay-west",
-		Phases: obsv.Breakdown{
-			BroadcastMs: 1, TrainMs: 300, EncodeMs: 2, WireMs: 10,
-			DecodeMs: 3, AggregateMs: 4, EvalMs: 5,
-		},
-	}
+	var rec metrics.Round
+	testutil.FillDistinct(&rec)
 	alive := []cluster.Info{
-		{ID: "a", Health: 1, HeartbeatRTT: 2 * time.Millisecond, Straggles: 0},
 		{ID: "b", Health: 0.5, HeartbeatRTT: 7 * time.Millisecond, Straggles: 3},
+		{ID: "a", Health: 1, HeartbeatRTT: 2 * time.Millisecond, Straggles: 0},
 	}
-	ev := parseObserve(observeMessage(rec, alive, map[string]int{"b": 2}))
-	got := ev.Record
-	// SimSeconds/UpdateNorm/SlowestPhase don't ride the observe frame.
-	if got != rec {
-		t.Fatalf("record round-trip mismatch:\n got %+v\nwant %+v", got, rec)
+	ev, err := parseObserve(wireTrip(t, observeMessage(rec, alive, map[string]int{"b": 2})))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(ev.Members) != 2 {
-		t.Fatalf("members = %+v", ev.Members)
+	if !reflect.DeepEqual(ev.Record, rec) {
+		t.Fatalf("record round-trip mismatch:\n got %+v\nwant %+v", ev.Record, rec)
 	}
-	if ev.Members[0].ID != "a" || ev.Members[0].Health != 1 || ev.Members[0].RTTMs != 2 {
-		t.Fatalf("member a = %+v", ev.Members[0])
+	want := []MemberHealth{
+		{ID: "a", Health: 1, RTTMs: 2},
+		{ID: "b", Health: 0.5, RTTMs: 7, Straggles: 3, Staleness: 2},
 	}
-	if ev.Members[1].ID != "b" || ev.Members[1].Straggles != 3 || ev.Members[1].RTTMs != 7 {
-		t.Fatalf("member b = %+v", ev.Members[1])
-	}
-	if ev.Members[0].Staleness != 0 || ev.Members[1].Staleness != 2 {
-		t.Fatalf("staleness: a=%d b=%d, want 0 and 2", ev.Members[0].Staleness, ev.Members[1].Staleness)
+	if !reflect.DeepEqual(ev.Members, want) {
+		t.Fatalf("members = %+v, want %+v", ev.Members, want)
 	}
 }
 
 func TestObserveMessageCapsMembers(t *testing.T) {
 	alive := make([]cluster.Info, obsMemberCap+10)
 	for i := range alive {
-		alive[i] = cluster.Info{ID: string(rune('a'+i%26)) + string(rune('0'+i/26)), Health: 1}
+		alive[i] = cluster.Info{ID: fmt.Sprintf("m%03d", i), Health: 1}
 	}
-	ev := parseObserve(observeMessage(metrics.Round{Round: 1}, alive, nil))
+	ev, err := parseObserve(wireTrip(t, observeMessage(metrics.Round{Round: 1}, alive, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ev.Members) != obsMemberCap {
 		t.Fatalf("got %d members, want cap %d", len(ev.Members), obsMemberCap)
 	}
+}
+
+// A diverged run's NaN loss has no JSON form: it travels as 0 and the rest
+// of the record survives.
+func TestObserveMessageNonFinite(t *testing.T) {
+	rec := metrics.Round{Round: 3, TrainLoss: math.NaN(), ValPPL: math.Inf(1), Clients: 2}
+	rec.Phases.TrainMs = math.Inf(-1)
+	alive := []cluster.Info{{ID: "a", Health: math.NaN(), Straggles: 1}}
+	ev, err := parseObserve(observeMessage(rec, alive, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (metrics.Round{Round: 3, Clients: 2}); ev.Record != want {
+		t.Fatalf("record = %+v, want %+v", ev.Record, want)
+	}
+	if want := []MemberHealth{{ID: "a", Straggles: 1}}; !reflect.DeepEqual(ev.Members, want) {
+		t.Fatalf("members = %+v, want %+v", ev.Members, want)
+	}
+}
+
+func TestParseObserveRejects(t *testing.T) {
+	over := ObserveEvent{Members: make([]MemberHealth, obsMemberCap+1)}
+	overDoc, err := json.Marshal(over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, doc := range map[string][]byte{
+		"empty":     nil,
+		"truncated": []byte(`{"Record":{"Round":1`),
+		"wrongType": []byte(`{"Record":{"Round":"one"}}`),
+		"trailing":  []byte(`{} {}`),
+		"overCap":   overDoc,
+		"oversized": []byte(`{"Record":{"SlowestID":"` + strings.Repeat("x", obsMaxDoc) + `"}}`),
+	} {
+		msg := &link.Message{Type: link.MsgMetrics, Payload: link.EncodedPayload{Data: doc}}
+		if _, err := parseObserve(msg); err == nil {
+			t.Errorf("%s document accepted", name)
+		}
+	}
+}
+
+// FuzzObserveFrame feeds arbitrary bytes through the frame decoder and the
+// observe decoder. Neither may panic, and a document the observe decoder
+// accepts must be well-formed JSON within the member cap. Seed frames live
+// in testdata/fuzz/FuzzObserveFrame.
+func FuzzObserveFrame(f *testing.F) {
+	var rec metrics.Round
+	testutil.FillDistinct(&rec)
+	var frame bytes.Buffer
+	alive := []cluster.Info{{ID: "a", Health: 1, HeartbeatRTT: time.Millisecond}}
+	if err := link.Encode(&frame, observeMessage(rec, alive, nil)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame.Bytes())
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		// A declared body longer than the input fails Decode only after
+		// allocating it (up to 4 GiB); skip such inputs to keep the fuzzer's
+		// memory bounded. Nothing past the header would be parsed anyway.
+		if len(raw) >= 8 && int(binary.LittleEndian.Uint32(raw[4:8])) > len(raw) {
+			return
+		}
+		msg, err := link.Decode(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		ev, err := parseObserve(msg)
+		if err != nil {
+			return
+		}
+		if !json.Valid(msg.Payload.Data) {
+			t.Fatalf("malformed document accepted: %q", msg.Payload.Data)
+		}
+		if len(ev.Members) > obsMemberCap {
+			t.Fatalf("%d members accepted, cap %d", len(ev.Members), obsMemberCap)
+		}
+	})
 }

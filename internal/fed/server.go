@@ -163,7 +163,7 @@ type server struct {
 
 	// observers are read-only MsgObserve subscribers (photon-top). They
 	// are never members: no registry entry, no heartbeats, no cohort
-	// slots — just a Meta-only MsgMetrics frame after every round.
+	// slots — just an observe frame (MsgMetrics) after every round.
 	obsMu     sync.Mutex
 	observers map[*link.Conn]struct{}
 }
@@ -242,7 +242,7 @@ func (s *server) closeObservers() {
 }
 
 // publishRound fans one round record out to every attached observer as a
-// codec-free Meta-only frame. Sends are bounded and best-effort: a stuck
+// codec-free observe frame. Sends are bounded and best-effort: a stuck
 // observer is detached, never allowed to stall the round loop. stale, when
 // non-nil, carries per-member staleness in versions (async mode only; the
 // synchronous loop passes nil).
@@ -580,7 +580,7 @@ func (s *server) handshake(ctx context.Context, conn *link.Conn) {
 	}
 	if msg.Type == link.MsgObserve {
 		// Read-only subscriber: no codec echo required (the observe
-		// stream is Meta-only), no membership slot taken.
+		// stream carries no codec payloads), no membership slot taken.
 		s.addObserver(conn)
 		return
 	}

@@ -205,7 +205,7 @@ func TestParameterizedCodecNames(t *testing.T) {
 	if got := c.(*Q8Codec).BlockSize; got != 128 {
 		t.Fatalf("block size = %v", got)
 	}
-	for _, bad := range []string{"topk:1.5", "topk:zero", "q8:0", "dense:1", "nope"} {
+	for _, bad := range []string{"topk:0", "topk:1.5", "topk:zero", "q8:0", "dense:1", "nope"} {
 		if _, err := NewCodec(bad); err == nil {
 			t.Fatalf("NewCodec(%q) accepted", bad)
 		}

@@ -72,9 +72,11 @@ const (
 	// MsgObserve subscribes a read-only observer (photon-top, dashboards)
 	// to an aggregator's round event stream. An observer answers the
 	// MsgCodecAnnounce handshake with MsgObserve instead of MsgJoin; it
-	// never joins membership, receives no heartbeats, and is fed Meta-only
-	// MsgMetrics frames after each round — codec-free, so any observer can
-	// attach regardless of the fleet's wire codec.
+	// never joins membership, receives no heartbeats, and is fed one
+	// MsgMetrics frame after each round whose payload bytes hold the round
+	// record as a JSON document (internal/fed owns the schema) —
+	// codec-free, so any observer can attach regardless of the fleet's
+	// wire codec.
 	MsgObserve
 )
 

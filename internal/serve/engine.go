@@ -218,12 +218,12 @@ func NewEngine(m *nn.Model, cfg Config) *Engine {
 		events:  make(chan Event, 128),
 		started: time.Now(),
 
-		insQueue:     obsv.Default.Gauge("photon_serve_queue_depth", "Requests waiting in the admission queue."),
-		insInflight:  obsv.Default.Gauge("photon_serve_inflight_sequences", "Sequences currently decoding in the batch."),
-		insLatency:   obsv.Default.Histogram("photon_serve_request_seconds", "End-to-end request latency (queue + decode).", nil),
-		insCompleted: obsv.Default.Counter("photon_serve_completed_total", "Requests completed successfully."),
-		insExpired:   obsv.Default.Counter("photon_serve_expired_total", "Requests expired at their deadline."),
-		insTokens:    obsv.Default.Counter("photon_serve_tokens_total", "Tokens sampled across all requests."),
+		insQueue:     obsv.Default.Gauge(obsv.MetricServeQueueDepth, "Requests waiting in the admission queue."),
+		insInflight:  obsv.Default.Gauge(obsv.MetricServeInflight, "Sequences currently decoding in the batch."),
+		insLatency:   obsv.Default.Histogram(obsv.MetricServeRequestSec, "End-to-end request latency (queue + decode).", nil),
+		insCompleted: obsv.Default.Counter(obsv.MetricServeCompleted, "Requests completed successfully."),
+		insExpired:   obsv.Default.Counter(obsv.MetricServeExpired, "Requests expired at their deadline."),
+		insTokens:    obsv.Default.Counter(obsv.MetricServeTokens, "Tokens sampled across all requests."),
 	}
 	go e.loop()
 	return e

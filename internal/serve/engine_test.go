@@ -97,49 +97,51 @@ func TestEngineContinuousBatching(t *testing.T) {
 	e := NewEngine(m, Config{MaxBatch: 2, MaxSeq: 128, Queue: 8})
 	defer e.Close()
 
-	order := make(chan string, 4)
+	// Completion order is read from the engine's own clock (each Result's
+	// Duration since its enqueue), not from which receiving goroutine gets
+	// scheduled first: that raced, and so did a fixed sleep before the
+	// shorts, which the long request can outlast on an idle host.
+	start := time.Now()
 	long, err := e.Submit(Request{Prompt: []int{1, 2}, MaxNew: 90})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Give the scheduler a moment to admit the long request so the shorts
-	// contend for the one remaining slot.
-	time.Sleep(10 * time.Millisecond)
+	// The shorts queue right behind the long request and contend for the
+	// one slot it leaves free.
 	shorts := make([]<-chan Result, 3)
+	queuedBy := make([]time.Duration, 3) // upper bound on each short's enqueue
 	for i := range shorts {
 		ch, err := e.Submit(Request{Prompt: []int{5}, MaxNew: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		shorts[i] = ch
+		shorts[i], queuedBy[i] = ch, time.Since(start)
 	}
-	go func() {
-		r := <-long
+	lr := <-long
+	if lr.Err != nil {
+		t.Fatalf("long request failed: %v", lr.Err)
+	}
+	if len(lr.Tokens) != 90 {
+		t.Fatalf("long request returned %d tokens", len(lr.Tokens))
+	}
+	for i, ch := range shorts {
+		r := <-ch
 		if r.Err != nil {
-			t.Errorf("long request failed: %v", r.Err)
+			t.Fatalf("short request failed: %v", r.Err)
 		}
-		if len(r.Tokens) != 90 {
-			t.Errorf("long request returned %d tokens", len(r.Tokens))
+		if len(r.Tokens) != 3 {
+			t.Fatalf("short request returned %d tokens", len(r.Tokens))
 		}
-		order <- "long"
-	}()
-	go func() {
-		for _, ch := range shorts {
-			r := <-ch
-			if r.Err != nil {
-				t.Errorf("short request failed: %v", r.Err)
-			}
-			if len(r.Tokens) != 3 {
-				t.Errorf("short request returned %d tokens", len(r.Tokens))
-			}
+		// The long request finished no earlier than start+lr.Duration,
+		// short i no later than start+queuedBy[i]+r.Duration.
+		if queuedBy[i]+r.Duration >= lr.Duration {
+			t.Fatalf("short %d finished at %v, long at %v: short requests should finish mid-batch before the long one",
+				i, queuedBy[i]+r.Duration, lr.Duration)
 		}
-		order <- "shorts"
-	}()
-	first := <-order
-	second := <-order
-	if first != "shorts" || second != "long" {
-		t.Fatalf("completion order %s, %s: short requests should finish mid-batch before the long one", first, second)
 	}
+	// The engine counts a request just after sending its result; Close
+	// waits for the loop to exit, so the counters are final.
+	e.Close()
 	st := e.Stats()
 	if st.Completed != 4 {
 		t.Fatalf("stats report %d completed, want 4", st.Completed)

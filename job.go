@@ -101,10 +101,9 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 // than blocking training.
 func (j *Job) emit(r metrics.Round) {
 	j.scrape(r)
-	ev := eventFromRound(r)
 	for attempt := 0; attempt < 3; attempt++ {
 		select {
-		case j.events <- ev:
+		case j.events <- r:
 			return
 		default:
 		}
@@ -122,27 +121,22 @@ func (j *Job) emit(r metrics.Round) {
 // live training state without subscribing to the event stream.
 func (j *Job) scrape(r metrics.Round) {
 	reg := obsv.Default
-	reg.Counter("photon_rounds_total", "Completed training rounds.").Inc()
-	reg.Gauge("photon_round", "Most recent completed round number.").Set(float64(r.Round))
+	reg.Counter(obsv.MetricRoundsTotal, "Completed training rounds.").Inc()
+	reg.Gauge(obsv.MetricRound, "Most recent completed round number.").Set(float64(r.Round))
 	if r.TrainLoss > 0 {
-		reg.Gauge("photon_train_loss", "Mean participating-client training loss (nats/token).").Set(r.TrainLoss)
+		reg.Gauge(obsv.MetricTrainLoss, "Mean participating-client training loss (nats/token).").Set(r.TrainLoss)
 	}
 	if r.ValPPL > 0 {
-		reg.Gauge("photon_val_perplexity", "Latest validation perplexity.").Set(r.ValPPL)
+		reg.Gauge(obsv.MetricValPerplexity, "Latest validation perplexity.").Set(r.ValPPL)
 	}
-	reg.Gauge("photon_round_clients", "Clients aggregated in the most recent round.").Set(float64(r.Clients))
-	reg.Counter("photon_wire_sent_bytes_total", "Bytes sent on the wire across rounds.").Add(r.WireSentBytes)
-	reg.Counter("photon_wire_recv_bytes_total", "Bytes received on the wire across rounds.").Add(r.WireRecvBytes)
-	reg.Counter("photon_round_joins_total", "Members joined or rejoined across rounds.").Add(int64(r.Joins))
-	reg.Counter("photon_round_evictions_total", "Members evicted across rounds.").Add(int64(r.Evictions))
-	reg.Counter("photon_round_stragglers_total", "Cohort slots dropped at round deadlines.").Add(int64(r.Stragglers))
+	reg.Gauge(obsv.MetricRoundClients, "Clients aggregated in the most recent round.").Set(float64(r.Clients))
+	reg.Counter(obsv.MetricWireSentBytes, "Bytes sent on the wire across rounds.").Add(r.WireSentBytes)
+	reg.Counter(obsv.MetricWireRecvBytes, "Bytes received on the wire across rounds.").Add(r.WireRecvBytes)
+	reg.Counter(obsv.MetricRoundJoins, "Members joined or rejoined across rounds.").Add(int64(r.Joins))
+	reg.Counter(obsv.MetricRoundEvictions, "Members evicted across rounds.").Add(int64(r.Evictions))
+	reg.Counter(obsv.MetricRoundStragglers, "Cohort slots dropped at round deadlines.").Add(int64(r.Stragglers))
 	if r.WallMs > 0 {
-		reg.Histogram("photon_round_seconds", "Round wall time.", nil).Observe(r.WallMs / 1e3)
-	}
-	if r.ModelVersion > 0 {
-		reg.Gauge("photon_model_version", "Committed global model version (async aggregation).").Set(float64(r.ModelVersion))
-		reg.Gauge("photon_buffer_fill", "Updates folded into the latest async commit.").Set(float64(r.BufferFill))
-		reg.Gauge("photon_update_staleness", "Mean staleness (versions) of the latest commit's updates.").Set(r.MeanStaleness)
+		reg.Histogram(obsv.MetricRoundSeconds, "Round wall time.", nil).Observe(r.WallMs / 1e3)
 	}
 }
 
@@ -151,26 +145,8 @@ func newResult(model *nn.Model, hist *metrics.History) *Result {
 	out := &Result{model: model}
 	if hist != nil {
 		out.FinalPerplexity = hist.FinalPPL()
+		out.Stats = hist.Rounds
 		for _, r := range hist.Rounds {
-			out.Stats = append(out.Stats, RoundStat{
-				Round: r.Round, TrainLoss: r.TrainLoss, Perplexity: r.ValPPL,
-				Clients: r.Clients, CommBytes: r.CommBytes,
-				WireSentBytes: r.WireSentBytes, WireRecvBytes: r.WireRecvBytes,
-				CompressionRatio: r.CompressionRatio,
-				EncodeMs:         r.EncodeMs, DecodeMs: r.DecodeMs,
-				Tier: r.Tier, Depth: r.Depth,
-				Joins: r.Joins, Evictions: r.Evictions, Stragglers: r.Stragglers,
-				HeartbeatRTTMs:    r.HeartbeatRTTMs,
-				HeartbeatRTTP99Ms: r.HeartbeatRTTP99Ms,
-				TraceID:           r.TraceID,
-				WallMs:            r.WallMs,
-				Phases:            PhaseBreakdown(r.Phases),
-				SlowestID:         r.SlowestID,
-				SlowestPhase:      r.SlowestPhase,
-				ModelVersion:      r.ModelVersion,
-				BufferFill:        r.BufferFill,
-				MeanStaleness:     r.MeanStaleness,
-			})
 			out.Joins += r.Joins
 			out.Evictions += r.Evictions
 			out.Stragglers += r.Stragglers

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"photon/internal/data"
 	"photon/internal/metrics"
+	"photon/internal/testutil"
 )
 
 func TestJobCancellationReturnsPartialResult(t *testing.T) {
@@ -107,13 +109,13 @@ func TestJobEventsOrderAndClose(t *testing.T) {
 		if ev.CommBytes <= 0 {
 			t.Fatalf("round %d: no communication accounted", ev.Round)
 		}
-		if ev.Perplexity <= 0 {
+		if ev.ValPPL <= 0 {
 			t.Fatalf("round %d: expected an evaluated perplexity", ev.Round)
 		}
 	}
-	if events[len(events)-1].Perplexity != res.FinalPerplexity {
+	if events[len(events)-1].ValPPL != res.FinalPerplexity {
 		t.Fatalf("final event ppl %v != result ppl %v",
-			events[len(events)-1].Perplexity, res.FinalPerplexity)
+			events[len(events)-1].ValPPL, res.FinalPerplexity)
 	}
 }
 
@@ -262,8 +264,8 @@ func TestJobResumeKeepsRoundNumbering(t *testing.T) {
 		}
 	}
 	// And the resumed model starts from checkpointed quality.
-	cold := first.Stats[0].Perplexity
-	warm := resumed.Stats[0].Perplexity
+	cold := first.Stats[0].ValPPL
+	warm := resumed.Stats[0].ValPPL
 	if !(warm < cold) {
 		t.Fatalf("resume lost progress: cold-start ppl %v, resumed first ppl %v", cold, warm)
 	}
@@ -297,7 +299,7 @@ func TestJobNetworkedBackends(t *testing.T) {
 		WithAddr("127.0.0.1:0"), // kernel-assigned free port, reported by Addr()
 		WithExpectClients(clients),
 		WithRounds(3),
-		WithCompression(true),
+		WithCodec("flate"),
 	)
 	var aggEvents []RoundEvent
 	eventsDone := make(chan struct{})
@@ -335,7 +337,7 @@ func TestJobNetworkedBackends(t *testing.T) {
 				WithAddr(addr),
 				WithClientID(string(rune('a'+i))),
 				WithShard(i),
-				WithCompression(true),
+				WithCodec("flate"),
 			).Run(context.Background())
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
@@ -362,6 +364,25 @@ func TestJobNetworkedBackends(t *testing.T) {
 		if ev.Clients != clients {
 			t.Fatalf("round %d aggregated %d clients, want %d", ev.Round, ev.Clients, clients)
 		}
+	}
+}
+
+// TestRoundRecordReachesEventsAndStats fills every round-record field with
+// a distinct value and requires Job.Events and Result.Stats to carry the
+// record unchanged, so a field added to metrics.Round reaches the public
+// API with no edit here. fed's TestObserveMessageRoundTrip checks the
+// observe stream the same way.
+func TestRoundRecordReachesEventsAndStats(t *testing.T) {
+	var rec metrics.Round
+	testutil.FillDistinct(&rec)
+	j := NewJob()
+	j.emit(rec)
+	if got := <-j.Events(); !reflect.DeepEqual(got, rec) {
+		t.Fatalf("Events delivered %+v, want %+v", got, rec)
+	}
+	res := newResult(nil, &metrics.History{Rounds: []metrics.Round{rec}})
+	if len(res.Stats) != 1 || !reflect.DeepEqual(res.Stats[0], rec) {
+		t.Fatalf("Stats = %+v, want [%+v]", res.Stats, rec)
 	}
 }
 

@@ -1,6 +1,7 @@
 package photon
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"sync"
@@ -9,8 +10,13 @@ import (
 	"photon/internal/ckpt"
 )
 
+// runJob runs a job to completion on a background context.
+func runJob(opts ...JobOption) (*Result, error) {
+	return NewJob(opts...).Run(context.Background())
+}
+
 func TestPretrainDefaultsConverge(t *testing.T) {
-	res, err := Pretrain(Options{Rounds: 8})
+	res, err := runJob(WithRounds(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +32,7 @@ func TestPretrainDefaultsConverge(t *testing.T) {
 }
 
 func TestPretrainUnknownSize(t *testing.T) {
-	if _, err := Pretrain(Options{Size: "enormous"}); err == nil {
+	if _, err := runJob(WithModel("enormous")); err == nil {
 		t.Fatal("unknown size accepted")
 	}
 	if _, err := ModelConfig(Size7B); err != nil {
@@ -36,7 +42,7 @@ func TestPretrainUnknownSize(t *testing.T) {
 
 func TestPretrainServerOptimizers(t *testing.T) {
 	for _, s := range []ServerOptimizer{FedAvg, FedMom, DiLoCo} {
-		res, err := Pretrain(Options{Rounds: 2, Server: s})
+		res, err := runJob(WithRounds(2), WithServerOptimizer(string(s)))
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -44,13 +50,13 @@ func TestPretrainServerOptimizers(t *testing.T) {
 			t.Fatalf("%s: %d stats", s, len(res.Stats))
 		}
 	}
-	if _, err := Pretrain(Options{Server: "adamw"}); err == nil {
+	if _, err := runJob(WithServerOptimizer("adamw")); err == nil {
 		t.Fatal("invalid server optimizer accepted")
 	}
 }
 
 func TestPretrainHeterogeneous(t *testing.T) {
-	res, err := Pretrain(Options{Rounds: 4, Heterogeneous: true})
+	res, err := runJob(WithRounds(4), WithDataSource("pile"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +67,7 @@ func TestPretrainHeterogeneous(t *testing.T) {
 
 func TestPretrainCheckpointAndGenerate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.ckpt")
-	res, err := Pretrain(Options{Rounds: 3, CheckpointPath: path})
+	res, err := runJob(WithRounds(3), WithCheckpoint(path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,17 +81,17 @@ func TestPretrainCheckpointAndGenerate(t *testing.T) {
 }
 
 func TestPretrainCentralized(t *testing.T) {
-	res, err := PretrainCentralized(CentralizedOptions{Steps: 120})
+	res, err := runJob(WithBackend(BackendCentralized), WithSteps(120))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.FinalPerplexity >= 50 {
 		t.Fatalf("centralized baseline did not learn: %v", res.FinalPerplexity)
 	}
-	if _, err := PretrainCentralized(CentralizedOptions{Size: "nope"}); err == nil {
+	if _, err := runJob(WithBackend(BackendCentralized), WithModel("nope")); err == nil {
 		t.Fatal("unknown size accepted")
 	}
-	if _, err := PretrainCentralized(CentralizedOptions{Workers: 100}); err == nil {
+	if _, err := runJob(WithBackend(BackendCentralized), WithWorkers(100)); err == nil {
 		t.Fatal("too many workers accepted")
 	}
 }
@@ -167,9 +173,8 @@ func TestNetworkedAggregatorAndClients(t *testing.T) {
 	resCh := make(chan *Result, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		res, err := ServeAggregator(AggregatorOptions{
-			Addr: "127.0.0.1:39077", Rounds: 3, ExpectClients: clients, Compress: true,
-		})
+		res, err := runJob(WithBackend(BackendAggregator), WithAddr("127.0.0.1:39077"),
+			WithRounds(3), WithExpectClients(clients), WithCodec("flate"))
 		resCh <- res
 		errCh <- err
 	}()
@@ -181,9 +186,8 @@ func TestNetworkedAggregatorAndClients(t *testing.T) {
 			defer wg.Done()
 			// Retry until the aggregator is listening.
 			for attempt := 0; attempt < 50; attempt++ {
-				err := JoinAsClient(ClientOptions{
-					Addr: "127.0.0.1:39077", ID: string(rune('a' + i)), Shard: i, Compress: true,
-				})
+				_, err := runJob(WithBackend(BackendClient), WithAddr("127.0.0.1:39077"),
+					WithClientID(string(rune('a'+i))), WithShard(i), WithCodec("flate"))
 				if err == nil {
 					return
 				}
@@ -207,20 +211,15 @@ func TestNetworkedAggregatorAndClients(t *testing.T) {
 }
 
 func TestJoinAsClientValidation(t *testing.T) {
-	if err := JoinAsClient(ClientOptions{Addr: "127.0.0.1:1", Shard: 99, ID: "x"}); err == nil {
+	client := []JobOption{WithBackend(BackendClient), WithAddr("127.0.0.1:1")}
+	if _, err := runJob(append(client, WithShard(99), WithClientID("x"))...); err == nil {
 		t.Fatal("bad shard accepted")
 	}
-	if err := JoinAsClient(ClientOptions{Addr: "127.0.0.1:1"}); err == nil {
+	if _, err := runJob(client...); err == nil {
 		t.Fatal("missing ID accepted")
 	}
-	if err := ServeAggregatorErr(); err == nil {
+	// ExpectClients validation fails before binding a socket.
+	if _, err := runJob(WithBackend(BackendAggregator), WithAddr("127.0.0.1:0")); err == nil {
 		t.Fatal("ExpectClients=0 accepted")
 	}
-}
-
-// ServeAggregatorErr exercises the ExpectClients validation without binding
-// a socket.
-func ServeAggregatorErr() error {
-	_, err := ServeAggregator(AggregatorOptions{Addr: "127.0.0.1:0", ExpectClients: 0})
-	return err
 }
