@@ -29,10 +29,6 @@ type Attention struct {
 	q, k, v    *tensor.Matrix // per-head panels [B·H·T, d]
 	probs      *tensor.Matrix // attention probabilities [B·H·T, T]
 	batch, seq int
-
-	// decItems is the ragged work-item scratch for the KV-cached decode
-	// path; kept on the layer so a steady-state decode step reuses it.
-	decItems []tensor.DecodeItem
 }
 
 // NewAttention creates the attention sublayer.
@@ -148,21 +144,23 @@ func (a *Attention) Forward(ws *Workspace, x *tensor.Matrix, batch, seq int) *te
 	return a.Out.Forward(ws, ctx)
 }
 
-// decodeForward is the KV-cached attention step for a mixed prefill/decode
-// batch. x holds the ΣTi new rows of all sequences concatenated; lens[i] is
-// states[i]'s cached length before this call and counts[i] its new-row count.
-// Each head's new K/V rows are written straight into the sequence's layer
-// cache, and attention runs as one ragged AttendDecode dispatch over
+// decode is the KV-cached attention step for a mixed prefill/decode batch.
+// x holds the ΣTi new rows of all sequences concatenated; d.lens[i] is
+// states[i]'s cached length before this call and d.counts[i] its new-row
+// count. Each head's new K/V rows are written straight into the sequence's
+// layer cache, and attention runs as one ragged AttendDecode dispatch over
 // (sequence × head) items — steady-state decode touches each cached row once
-// instead of recomputing the whole prefix.
+// instead of recomputing the whole prefix. All scratch lives in the decoder;
+// the layer is only read.
 //
 //photon:hotpath
-func (a *Attention) decodeForward(ws *Workspace, x *tensor.Matrix, layer int, states []*DecodeState, lens, counts []int) *tensor.Matrix {
+func (a *Attention) decode(d *Decoder, x *tensor.Matrix, layer int, states []*DecodeState) *tensor.Matrix {
+	ws, lens, counts := d.ws, d.lens, d.counts
 	hd := a.HeadDim
 	scale := float32(1 / math.Sqrt(float64(hd)))
 	total := x.Rows
 
-	qkv := a.QKV.Forward(ws, x) // [ΣTi, 3D]
+	qkv := a.QKV.apply(ws, x) // [ΣTi, 3D]
 
 	// Per-(sequence × head) query and context panels. Sequence i's block
 	// starts at row rowOff·Heads and holds Heads consecutive panels of
@@ -175,8 +173,7 @@ func (a *Attention) decodeForward(ws *Workspace, x *tensor.Matrix, layer int, st
 	}
 	probs := ws.Take(probTotal, 1)
 
-	ni := len(states) * a.Heads
-	a.decItems = growDecodeItems(a.decItems, ni)
+	d.items = growDecodeItems(d.items, len(states)*a.Heads)
 
 	rowOff, probOff, it := 0, 0, 0
 	for i, s := range states {
@@ -193,7 +190,7 @@ func (a *Attention) decodeForward(ws *Workspace, x *tensor.Matrix, layer int, st
 				copy(kc[(lens[i]+t)*hd:(lens[i]+t+1)*hd], src[ko:ko+hd])
 				copy(vc[(lens[i]+t)*hd:(lens[i]+t+1)*hd], src[vo:vo+hd])
 			}
-			a.decItems[it] = tensor.DecodeItem{
+			d.items[it] = tensor.DecodeItem{
 				Q:     qP.Data[base*hd : (base+qn)*hd],
 				K:     kc,
 				V:     vc,
@@ -208,7 +205,7 @@ func (a *Attention) decodeForward(ws *Workspace, x *tensor.Matrix, layer int, st
 		}
 		rowOff += qn
 	}
-	tensor.AttendDecode(a.decItems, scale)
+	tensor.AttendDecode(d.items, scale)
 
 	ctx := ws.Take(total, a.Dim) // concatenated head outputs
 	rowOff = 0
@@ -223,7 +220,7 @@ func (a *Attention) decodeForward(ws *Workspace, x *tensor.Matrix, layer int, st
 		}
 		rowOff += qn
 	}
-	return a.Out.Forward(ws, ctx)
+	return a.Out.apply(ws, ctx)
 }
 
 // Backward propagates gradients through the attention sublayer and returns

@@ -13,9 +13,9 @@ import (
 // turning the O(T²)-forwards generation loop into O(T) incremental steps.
 //
 // A DecodeState belongs to a single Model (the cache layout is derived from
-// its configuration) and, like the model itself, is not safe for concurrent
-// use. The buffers are allocated once at construction; steady-state decoding
-// never grows them.
+// its configuration) and is not safe for concurrent use: only one Decoder
+// may advance it at a time. The buffers are allocated once at construction;
+// steady-state decoding never grows them.
 type DecodeState struct {
 	k, v    [][]float32 // per layer: Heads panels of maxSeq·headDim
 	n       int         // cached positions
@@ -73,18 +73,33 @@ func (s *DecodeState) Truncate(n int) {
 	s.n = n
 }
 
-// decodeWorkspace returns the model's dedicated decode arena, created lazily
-// with the size-class retention policy: decode scratch shapes grow with the
-// cache length, and power-of-two buckets keep the steady state allocation-
-// free where exact-size buckets would miss on every step.
+// Decoder runs the KV-cached incremental forward. It owns every piece of
+// scratch a decode step needs — the decode workspace, the flattened-token,
+// cached-length and new-row-count buffers, and the ragged attention work
+// items — and only reads the model's parameters. Each Decoder is for one
+// goroutine, but several Decoders may decode disjoint sets of DecodeStates
+// on one Model concurrently: this is how a serving engine shards a decode
+// step across cores. Concurrent decoding must not overlap training or any
+// other write to the model's parameters.
+type Decoder struct {
+	m *Model
+	// ws is under the size-class retention policy: decode scratch shapes
+	// grow with the cache length, and power-of-two buckets keep the steady
+	// state allocation-free where exact-size buckets would miss every step.
+	ws     *Workspace
+	flat   []int // flattened new tokens across the decode batch
+	lens   []int // per-sequence cached length before the step
+	counts []int // per-sequence new-token count
+	items  []tensor.DecodeItem
+}
+
+// NewDecoder returns a decoder over m with its own scratch.
 //
 //photon:allocok
-func (m *Model) decodeWorkspace() *Workspace {
-	if m.decWS == nil {
-		m.decWS = NewWorkspace()
-		m.decWS.SetSizeClasses(true)
-	}
-	return m.decWS
+func (m *Model) NewDecoder() *Decoder {
+	ws := NewWorkspace()
+	ws.SetSizeClasses(true)
+	return &Decoder{m: m, ws: ws}
 }
 
 // Decode runs one incremental forward over a batch of sequences: tokens[i]
@@ -99,11 +114,11 @@ func (m *Model) decodeWorkspace() *Workspace {
 //
 // The result holds the final hidden states for all new rows — the rows of
 // sequence i start at offset Σ_{j<i} len(tokens[j]) — and lives in the
-// model's decode workspace: it is valid until the next Decode call. Use
-// DecodeLogits to turn selected rows into next-token logits.
+// decoder's workspace: it is valid until the next Decode call on this
+// decoder. Use Logits to turn selected rows into next-token logits.
 //
 //photon:hotpath
-func (m *Model) Decode(states []*DecodeState, tokens [][]int) *tensor.Matrix {
+func (d *Decoder) Decode(states []*DecodeState, tokens [][]int) *tensor.Matrix {
 	if len(states) == 0 || len(states) != len(tokens) {
 		panic(fmt.Sprintf("nn: Decode: %d states, %d token slices", len(states), len(tokens)))
 	}
@@ -118,57 +133,74 @@ func (m *Model) Decode(states []*DecodeState, tokens [][]int) *tensor.Matrix {
 		}
 		total += len(tk)
 	}
-	ws := m.decodeWorkspace()
-	ws.Reset()
+	m := d.m
+	d.ws.Reset()
 
-	m.decFlat = growInt(m.decFlat, total)
-	m.decLens = growInt(m.decLens, len(states))
-	m.decCounts = growInt(m.decCounts, len(states))
+	d.flat = growInt(d.flat, total)
+	d.lens = growInt(d.lens, len(states))
+	d.counts = growInt(d.counts, len(states))
 	off := 0
 	for i, tk := range tokens {
-		copy(m.decFlat[off:], tk)
+		copy(d.flat[off:], tk)
 		off += len(tk)
-		m.decLens[i] = states[i].n
-		m.decCounts[i] = len(tk)
+		d.lens[i] = states[i].n
+		d.counts[i] = len(tk)
 	}
 
-	x := m.Embed.Forward(ws, m.decFlat[:total])
+	x := m.Embed.apply(d.ws, d.flat)
 	for li, b := range m.Blocks {
-		x = b.decodeForward(ws, x, li, states, m.decLens[:len(states)], m.decCounts[:len(states)])
+		x = b.decode(d, x, li, states)
 	}
-	h := m.LNF.Forward(ws, x)
+	h := m.LNF.apply(d.ws, x, nil, nil)
 	for i, tk := range tokens {
 		states[i].n += len(tk)
 	}
 	return h
 }
 
-// DecodeLogits computes next-token logits for the selected rows of a hidden
+// Logits computes next-token logits for the selected rows of a hidden
 // matrix returned by Decode. Generation needs only each sequence's last row;
 // continuation scoring needs every continuation row — gathering first keeps
 // the [rows, Vocab] product as small as the caller's actual need. The result
-// lives in the decode workspace and is valid until the next Decode call.
+// lives in the decoder's workspace and is valid until its next Decode call.
 //
 //photon:hotpath
-func (m *Model) DecodeLogits(h *tensor.Matrix, rows []int) *tensor.Matrix {
-	ws := m.decodeWorkspace()
-	g := ws.Take(len(rows), m.Cfg.Dim)
+func (d *Decoder) Logits(h *tensor.Matrix, rows []int) *tensor.Matrix {
+	m := d.m
+	g := d.ws.Take(len(rows), m.Cfg.Dim)
 	for i, r := range rows {
 		copy(g.Row(i), h.Row(r))
 	}
-	logits := ws.Take(len(rows), m.Cfg.VocabSize)
+	logits := d.ws.Take(len(rows), m.Cfg.VocabSize)
 	tensor.MatMulTransB(logits, g, &m.embMat)
 	return logits
 }
 
-// decodeForward is Block.Forward for the incremental path: same residual
-// structure, attention replaced by the KV-cached variant.
+// Decode is Decoder.Decode on the model-owned decoder; see there.
 //
 //photon:hotpath
-func (b *Block) decodeForward(ws *Workspace, x *tensor.Matrix, layer int, states []*DecodeState, lens, counts []int) *tensor.Matrix {
-	h := b.Attn.decodeForward(ws, b.LN1.Forward(ws, x), layer, states, lens, counts)
+func (m *Model) Decode(states []*DecodeState, tokens [][]int) *tensor.Matrix {
+	return m.dec.Decode(states, tokens)
+}
+
+// DecodeLogits is Decoder.Logits on the model-owned decoder; h must come
+// from Model.Decode.
+//
+//photon:hotpath
+func (m *Model) DecodeLogits(h *tensor.Matrix, rows []int) *tensor.Matrix {
+	return m.dec.Logits(h, rows)
+}
+
+// decode is Block.Forward for the incremental path: same residual
+// structure, attention replaced by the KV-cached variant, and no backward
+// caches written.
+//
+//photon:hotpath
+func (b *Block) decode(d *Decoder, x *tensor.Matrix, layer int, states []*DecodeState) *tensor.Matrix {
+	ws := d.ws
+	h := b.Attn.decode(d, b.LN1.apply(ws, x, nil, nil), layer, states)
 	tensor.Add(h.Data, x.Data) // residual 1
-	mo := b.FC2.Forward(ws, b.Act.Forward(ws, b.FC1.Forward(ws, b.LN2.Forward(ws, h))))
+	mo := b.FC2.apply(ws, geluApply(ws, b.FC1.apply(ws, b.LN2.apply(ws, h, nil, nil))))
 	tensor.Add(mo.Data, h.Data) // residual 2
 	return mo
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -172,39 +173,172 @@ func TestDecodeOverflowPanics(t *testing.T) {
 // size-class retention policy: after warming the power-of-two buckets by
 // decoding a sequence to the cache capacity once, a steady-state
 // single-sequence decode step performs zero heap allocations even though its
-// scratch shapes keep growing.
+// scratch shapes keep growing. It covers both the model-owned decoder behind
+// Model.Decode and a standalone one from NewDecoder.
 func TestDecodeStepZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(61))
 	m := NewModel(decodeCfg(), rng)
 	const maxSeq = 64
 
-	st := m.NewDecodeState(maxSeq)
-	tok := []int{1}
-	states := []*DecodeState{st}
-	tokens := [][]int{tok}
+	d := m.NewDecoder()
+	for _, tc := range []struct {
+		name string
+		run  func(states []*DecodeState, tokens [][]int, rows []int)
+	}{
+		{"Model.Decode", func(s []*DecodeState, tk [][]int, r []int) { m.DecodeLogits(m.Decode(s, tk), r) }},
+		{"NewDecoder", func(s []*DecodeState, tk [][]int, r []int) { d.Logits(d.Decode(s, tk), r) }},
+	} {
+		st := m.NewDecodeState(maxSeq)
+		tok := []int{1}
+		states := []*DecodeState{st}
+		tokens := [][]int{tok}
+		rows := []int{0}
 
-	// Warm every size-class bucket: decode to capacity once.
-	for i := 0; i < maxSeq; i++ {
-		tok[0] = i % m.Cfg.VocabSize
-		h := m.Decode(states, tokens)
-		m.DecodeLogits(h, []int{0})
-	}
-	st.Reset()
-	pos := 0
-	step := func() {
-		tok[0] = pos % m.Cfg.VocabSize
-		h := m.Decode(states, tokens)
-		m.DecodeLogits(h, []int{0})
-		pos++
-		if pos == maxSeq {
-			st.Reset()
-			pos = 0
+		// Warm every size-class bucket: decode to capacity once.
+		for i := 0; i < maxSeq; i++ {
+			tok[0] = i % m.Cfg.VocabSize
+			tc.run(states, tokens, rows)
+		}
+		st.Reset()
+		pos := 0
+		step := func() {
+			tok[0] = pos % m.Cfg.VocabSize
+			tc.run(states, tokens, rows)
+			pos++
+			if pos == maxSeq {
+				st.Reset()
+				pos = 0
+			}
+		}
+		step()
+		step()
+		if allocs := testing.AllocsPerRun(2*maxSeq, step); allocs != 0 {
+			t.Fatalf("%s: steady-state decode step allocates %.1f times", tc.name, allocs)
 		}
 	}
-	step()
-	step()
-	if allocs := testing.AllocsPerRun(2*maxSeq, step); allocs != 0 {
-		t.Fatalf("steady-state decode step allocates %.1f times", allocs)
+}
+
+// TestConcurrentDecoders pins the sharing contract of NewDecoder: two
+// decoders on one model, decoding disjoint mixed prefill/decode batches on
+// two goroutines at once, produce the logits of one decoder running the
+// union of both batches. Under -race it also proves the decode path only
+// reads the model.
+func TestConcurrentDecoders(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	m := NewModel(decodeCfg(), rand.New(rand.NewSource(71)))
+	rng := rand.New(rand.NewSource(72))
+
+	// chunks[s][step] is sequence s's new-token count at that step: every
+	// step mixes prefilling sequences with single-token decodes.
+	chunks := [][]int{
+		{5, 1, 1, 1, 1},
+		{1, 4, 1, 1, 3},
+		{3, 1, 6, 1, 1},
+		{7, 1, 1, 2, 1},
+	}
+	feeds := make([][][]int, len(chunks))
+	for s, cs := range chunks {
+		for _, n := range cs {
+			tk := make([]int, n)
+			for i := range tk {
+				tk[i] = rng.Intn(m.Cfg.VocabSize)
+			}
+			feeds[s] = append(feeds[s], tk)
+		}
+	}
+	steps := len(chunks[0])
+
+	// run decodes sequences seqs with d, step by step, and returns every new
+	// row's logits per sequence and step.
+	run := func(d *Decoder, seqs []int) map[int][][]float32 {
+		states := make([]*DecodeState, len(seqs))
+		for i := range states {
+			states[i] = m.NewDecodeState(32)
+		}
+		out := make(map[int][][]float32)
+		toks := make([][]int, len(seqs))
+		for step := 0; step < steps; step++ {
+			var rows []int
+			off := 0
+			for i, s := range seqs {
+				toks[i] = feeds[s][step]
+				for r := range toks[i] {
+					rows = append(rows, off+r)
+				}
+				off += len(toks[i])
+			}
+			logits := d.Logits(d.Decode(states, toks), rows)
+			r := 0
+			for i, s := range seqs {
+				for range toks[i] {
+					out[s] = append(out[s], append([]float32(nil), logits.Row(r)...))
+					r++
+				}
+			}
+		}
+		return out
+	}
+
+	want := run(m.NewDecoder(), []int{0, 1, 2, 3})
+	var got [2]map[int][][]float32
+	var wg sync.WaitGroup
+	for g, seqs := range [][]int{{0, 1}, {2, 3}} {
+		wg.Add(1)
+		go func(g int, seqs []int) {
+			defer wg.Done()
+			got[g] = run(m.NewDecoder(), seqs)
+		}(g, seqs)
+	}
+	wg.Wait()
+	for g, seqs := range [][]int{{0, 1}, {2, 3}} {
+		for _, s := range seqs {
+			if len(got[g][s]) != len(want[s]) {
+				t.Fatalf("sequence %d: %d logit rows, want %d", s, len(got[g][s]), len(want[s]))
+			}
+			for r := range want[s] {
+				if d := maxAbsDiff(got[g][s][r], want[s][r]); d > 1e-5 {
+					t.Fatalf("sequence %d row %d: concurrent decoder diverges from the union batch by %g", s, r, d)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeKeepsBackwardCaches pins that decoding never writes the layers'
+// training caches: a Decode between the forward/loss and the backward of a
+// training step leaves the gradients bit-identical to the step without it.
+func TestDecodeKeepsBackwardCaches(t *testing.T) {
+	m := NewModel(decodeCfg(), rand.New(rand.NewSource(81)))
+	rng := rand.New(rand.NewSource(82))
+	var b Batch
+	for i := 0; i < 2; i++ {
+		in, tg := make([]int, m.Cfg.SeqLen), make([]int, m.Cfg.SeqLen)
+		for t := range in {
+			in[t], tg[t] = rng.Intn(m.Cfg.VocabSize), rng.Intn(m.Cfg.VocabSize)
+		}
+		b.Inputs, b.Targets = append(b.Inputs, in), append(b.Targets, tg)
+	}
+	grads := func(decode bool) []float32 {
+		m.Params().ZeroGrads()
+		h, dlogits, _ := m.forwardLoss(b)
+		if decode {
+			st := m.NewDecodeState(16)
+			m.Decode([]*DecodeState{st}, [][]int{{4, 9, 13, 2, 40}})
+			m.Decode([]*DecodeState{st}, [][]int{{7}})
+		}
+		m.backward(h, dlogits)
+		var g []float32
+		for _, p := range m.Params() {
+			g = append(g, p.Grad...)
+		}
+		return g
+	}
+	want := grads(false)
+	got := grads(true)
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("gradient %d is %g after an interleaved Decode, %g without", i, got[i], want[i])
+		}
 	}
 }

@@ -47,6 +47,14 @@ func (l *Linear) Params() ParamSet {
 //photon:hotpath
 func (l *Linear) Forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 	l.x = x
+	return l.apply(ws, x)
+}
+
+// apply computes Y = X·W (+ b) without touching the layer's backward cache,
+// so concurrent decoders can share one read-only layer.
+//
+//photon:hotpath
+func (l *Linear) apply(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 	y := ws.Take(x.Rows, l.Out)
 	tensor.MatMul(y, x, &l.wMat)
 	if l.B != nil {
@@ -94,13 +102,23 @@ func (ln *LayerNorm) Params() ParamSet { return ParamSet{ln.G, ln.B} }
 
 const lnEps = 1e-5
 
-// Forward normalizes each row of x.
+// Forward normalizes each row of x, caching the normalized input and the
+// per-row reciprocal std for backward.
 //
 //photon:hotpath
 func (ln *LayerNorm) Forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
-	y := ws.Take(x.Rows, x.Cols)
 	ln.xhat = ws.Take(x.Rows, x.Cols)
 	ln.rstd = growF32(ln.rstd, x.Rows)
+	return ln.apply(ws, x, ln.xhat, ln.rstd)
+}
+
+// apply normalizes each row of x. The backward cache (xhat and the per-row
+// rstds) is written only when xhat is non-nil; the decode path passes nil,
+// so concurrent decoders can share one read-only layer.
+//
+//photon:hotpath
+func (ln *LayerNorm) apply(ws *Workspace, x, xhat *tensor.Matrix, rstds []float32) *tensor.Matrix {
+	y := ws.Take(x.Rows, x.Cols)
 	d := float64(x.Cols)
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
@@ -116,12 +134,15 @@ func (ln *LayerNorm) Forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 		}
 		varr /= d
 		rstd := float32(1 / math.Sqrt(varr+lnEps))
-		ln.rstd[i] = rstd
-		xh := ln.xhat.Row(i)
 		yr := y.Row(i)
 		for j, v := range row {
-			h := (v - float32(mean)) * rstd
-			xh[j] = h
+			yr[j] = (v - float32(mean)) * rstd
+		}
+		if xhat != nil {
+			rstds[i] = rstd
+			copy(xhat.Row(i), yr)
+		}
+		for j, h := range yr {
 			yr[j] = ln.G.Data[j]*h + ln.B.Data[j]
 		}
 	}
@@ -174,6 +195,13 @@ type GELU struct {
 //photon:hotpath
 func (g *GELU) Forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 	g.x = x
+	return geluApply(ws, x)
+}
+
+// geluApply is GELU.Forward without the backward cache.
+//
+//photon:hotpath
+func geluApply(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 	y := ws.Take(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		y.Data[i] = geluScalar(v)
@@ -233,6 +261,13 @@ func (e *Embedding) Params() ParamSet { return ParamSet{e.W} }
 //photon:hotpath
 func (e *Embedding) Forward(ws *Workspace, tokens []int) *tensor.Matrix {
 	e.tokens = tokens
+	return e.apply(ws, tokens)
+}
+
+// apply is Forward without retaining tokens for backward.
+//
+//photon:hotpath
+func (e *Embedding) apply(ws *Workspace, tokens []int) *tensor.Matrix {
 	y := ws.Take(len(tokens), e.Dim)
 	for i, id := range tokens {
 		if id < 0 || id >= e.Vocab {

@@ -99,13 +99,10 @@ type Model struct {
 	ceInv    float32
 	ceFn     func(lo, hi int) // persistent closure for the parallel loss bands
 
-	// KV-cached decode scratch (see kvcache.go). decWS is a separate arena
-	// under the size-class retention policy so the shape churn of growing
-	// caches never disturbs training's exact-size reuse.
-	decWS     *Workspace
-	decFlat   []int // flattened new tokens across the decode batch
-	decLens   []int // per-sequence cached length before the step
-	decCounts []int // per-sequence new-token count
+	// dec is the decoder behind Model.Decode (see kvcache.go). Its arena is
+	// separate from ws so the shape churn of growing caches never disturbs
+	// training's exact-size reuse.
+	dec *Decoder
 
 	// Generation scratch: a recycled single-sequence cache plus the fixed
 	// one-element slices the per-token decode loop feeds to Decode.
@@ -141,6 +138,7 @@ func NewModel(cfg Config, rng *rand.Rand) *Model {
 	}
 	m.params = append(m.params, m.LNF.Params()...)
 	m.ws = NewWorkspace()
+	m.dec = m.NewDecoder()
 	m.embMat = tensor.Matrix{Rows: cfg.VocabSize, Cols: cfg.Dim, Data: m.Embed.W.Data}
 	m.dEmbMat = tensor.Matrix{Rows: cfg.VocabSize, Cols: cfg.Dim, Data: m.Embed.W.Grad}
 	m.ceFn = m.ceBand
@@ -248,15 +246,34 @@ func (m *Model) Loss(b Batch) float64 {
 //
 //photon:hotpath
 func (m *Model) ForwardBackward(b Batch) float64 {
+	h, dlogits, loss := m.forwardLoss(b)
+	m.backward(h, dlogits)
+	return loss
+}
+
+// forwardLoss runs the training forward and loss, leaving the layers'
+// backward caches, the final hidden states h and the loss gradient dlogits
+// (all workspace-resident) for backward.
+//
+//photon:hotpath
+func (m *Model) forwardLoss(b Batch) (h, dlogits *tensor.Matrix, loss float64) {
 	ws := m.Workspace()
 	ws.Reset()
-	h, _, _ := m.forward(b.Inputs)
+	h, _, _ = m.forward(b.Inputs)
 	logits := ws.Take(h.Rows, m.Cfg.VocabSize)
 	tensor.MatMulTransB(logits, h, &m.embMat)
 
-	dlogits := ws.Take(logits.Rows, logits.Cols)
-	loss := m.crossEntropy(logits, b.Targets, dlogits)
+	dlogits = ws.Take(logits.Rows, logits.Cols)
+	loss = m.crossEntropy(logits, b.Targets, dlogits)
+	return h, dlogits, loss
+}
 
+// backward accumulates parameter gradients from the caches forwardLoss
+// left behind.
+//
+//photon:hotpath
+func (m *Model) backward(h, dlogits *tensor.Matrix) {
+	ws := m.Workspace()
 	// Tied head backward: dH = dLogits·Emb ; dEmb += dLogitsᵀ·H.
 	dh := ws.Take(h.Rows, m.Cfg.Dim)
 	tensor.MatMul(dh, dlogits, &m.embMat)
@@ -267,7 +284,6 @@ func (m *Model) ForwardBackward(b Batch) float64 {
 		dx = m.Blocks[i].Backward(ws, dx)
 	}
 	m.Embed.Backward(dx)
-	return loss
 }
 
 // ceBand computes per-row NLL (and, when training, the dLogits rows) for

@@ -47,8 +47,14 @@ func BenchmarkTrainStep(b *testing.B) {
 	optimizer := opt.NewAdamW(cfg.Beta1, cfg.Beta2, 0.01)
 	tokens := batch.Tokens()
 
-	// Warm up optimizer state and scratch buffers outside the timed region.
-	bench.TrainStep(m, batch, optimizer, 1e-4)
+	// Warm up to steady state outside the timed region: the first step
+	// allocates the optimizer state and the workspace's matrices, and the
+	// second step's Reset is the first to park those matrices in the free
+	// lists (growing them). From the third step on a step allocates nothing
+	// (TestTrainStepZeroAlloc), so even -benchtime 10x reports 0 allocs/op.
+	for i := 0; i < 3; i++ {
+		bench.TrainStep(m, batch, optimizer, 1e-4)
+	}
 
 	b.ReportAllocs()
 	b.ResetTimer()

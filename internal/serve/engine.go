@@ -1,24 +1,34 @@
 // Package serve is photon's inference side: a KV-cached continuous-batching
-// engine over nn.Model's incremental decode path, plus a link-protocol
-// server and client so evaluation can run against the real serving stack
-// instead of in-process model calls.
+// engine over nn's incremental decode path, plus a link-protocol server and
+// client so evaluation can run against the real serving stack instead of
+// in-process model calls.
 //
 // The engine owns the model exclusively. One scheduler goroutine runs a
 // decode loop that admits queued requests into free batch slots, prefills
 // their prompts in the same forward that decodes the running sequences
-// (mixed ragged batches are what nn.Model.Decode is built for), samples one
-// token per running sequence per step, and retires sequences the moment they
-// finish — a new request takes over the freed slot on the very next step
-// rather than waiting for the whole batch to drain. That is the continuous
-// batching of Orca/vLLM, scaled down to this codebase's single-process
-// model.
+// (mixed ragged batches are what nn.Decoder.Decode is built for), samples
+// one token per running sequence per step, and retires sequences the moment
+// they finish — a new request takes over the freed slot on the very next
+// step rather than waiting for the whole batch to drain. That is the
+// continuous batching of Orca/vLLM, scaled down to this codebase's
+// single-process model.
+//
+// Each step is sharded across cores. The batch is cut into at most
+// min(GOMAXPROCS, MaxBatch) contiguous runs of sequences, balanced by the
+// number of tokens each feeds, and every run is decoded, scored and sampled
+// by its own nn.Decoder: the first on the scheduler goroutine, the rest on
+// persistent engine-owned goroutines. The decoders only read the model, so
+// the shards share it. Once every shard is done the scheduler retires the
+// finished sequences serially, in batch order, so results and telemetry do
+// not depend on the sharding.
 package serve
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -164,12 +174,30 @@ type seqSlot struct {
 	score     bool
 	seq       []int // scoring: prompt‖cont
 	promptLen int
-	prompt    []int // generation: truncated prompt (or the seed token)
+	lp        float64 // scoring: the result, set by the step that scores it
+	prompt    []int   // generation: truncated prompt (or the seed token)
+}
+
+// shard is one core's part of a decode step: a contiguous run of the active
+// batch that it decodes, scores and samples with its own decoder. The
+// scheduler sets slots and signals run; the shard reports on the engine's
+// shardDone. Between those two handoffs the shard alone touches its slots.
+type shard struct {
+	dec   *nn.Decoder
+	slots []*seqSlot    // this step's sequences, a sub-slice of the batch
+	run   chan struct{} // scheduler → worker; closed to stop the worker
+	steps int           // steps this shard has run
+
+	// step scratch, reset to [:0] per step
+	states []*nn.DecodeState
+	toks   [][]int
+	rows   []int
 }
 
 // Engine is the continuous-batching scheduler. Construct with NewEngine,
 // submit with Submit/Do, stop with Close. The model passed to NewEngine must
-// not be used elsewhere until Close returns: the scheduler goroutine owns it.
+// not be used elsewhere until Close returns: the scheduler and its shard
+// workers own it.
 type Engine struct {
 	m   *nn.Model
 	cfg Config
@@ -189,10 +217,10 @@ type Engine struct {
 	latPos    int
 	closed    bool
 
-	// step scratch, owned by the scheduler goroutine
-	states []*nn.DecodeState
-	toks   [][]int
-	rows   []int
+	// shards[0] runs on the scheduler goroutine, the rest on their own
+	// workers, which signal shardDone after each step.
+	shards    []*shard
+	shardDone chan struct{}
 
 	// process-wide scrape instruments (obsv.Default), cached at construction
 	// so the hot path never touches the registry lock. All updates are
@@ -208,6 +236,13 @@ type Engine struct {
 // NewEngine starts an engine over m. The engine takes exclusive ownership of
 // the model until Close.
 func NewEngine(m *nn.Model, cfg Config) *Engine {
+	e := newEngine(m, cfg)
+	go e.loop()
+	return e
+}
+
+// newEngine builds an engine without starting its scheduler.
+func newEngine(m *nn.Model, cfg Config) *Engine {
 	cfg = cfg.withDefaults(m)
 	e := &Engine{
 		m:       m,
@@ -225,8 +260,44 @@ func NewEngine(m *nn.Model, cfg Config) *Engine {
 		insExpired:   obsv.Default.Counter(obsv.MetricServeExpired, "Requests expired at their deadline."),
 		insTokens:    obsv.Default.Counter(obsv.MetricServeTokens, "Tokens sampled across all requests."),
 	}
-	go e.loop()
+	n := min(runtime.GOMAXPROCS(0), cfg.MaxBatch)
+	e.shards = make([]*shard, n)
+	for i := range e.shards {
+		e.shards[i] = &shard{dec: m.NewDecoder(), run: make(chan struct{}, 1)}
+	}
+	// One slot per worker: a worker never waits for the scheduler to
+	// collect its signal.
+	e.shardDone = make(chan struct{}, n)
 	return e
+}
+
+// startShards launches a worker goroutine for every shard after the first.
+func (e *Engine) startShards() {
+	for _, sh := range e.shards[1:] {
+		go e.shardWorker(sh)
+	}
+}
+
+// stopShards stops the workers and waits until all of them have exited.
+// No step may be in flight.
+func (e *Engine) stopShards() {
+	for _, sh := range e.shards[1:] {
+		close(sh.run)
+	}
+	for range e.shards[1:] {
+		<-e.shardDone
+	}
+}
+
+// shardWorker runs sh's part of every step it is handed, until stopShards.
+//
+//photon:hotpath
+func (e *Engine) shardWorker(sh *shard) {
+	for range sh.run {
+		sh.step()
+		e.shardDone <- struct{}{}
+	}
+	e.shardDone <- struct{}{}
 }
 
 // Events returns the telemetry stream. Events are dropped, not queued, when
@@ -292,9 +363,10 @@ func (e *Engine) Close() {
 }
 
 // Stats returns a snapshot of the engine counters and latency percentiles.
+// The latency ring is copied under the lock and sorted after it is released,
+// so a Stats call never holds up Submit or the scheduler.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	s := Stats{
 		QueueDepth: len(e.reqs),
 		Active:     e.active,
@@ -302,15 +374,15 @@ func (e *Engine) Stats() Stats {
 		Expired:    e.expired,
 		TokensOut:  e.tokensOut,
 	}
+	lat := slices.Clone(e.lat)
+	e.mu.Unlock()
 	if up := time.Since(e.started).Seconds(); up > 0 {
-		s.TokensPerSec = float64(e.tokensOut) / up
+		s.TokensPerSec = float64(s.TokensOut) / up
 	}
-	if n := len(e.lat); n > 0 {
-		tmp := make([]time.Duration, n)
-		copy(tmp, e.lat)
-		sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-		s.P50 = tmp[n/2]
-		s.P99 = tmp[(n*99)/100]
+	if n := len(lat); n > 0 {
+		slices.Sort(lat)
+		s.P50 = lat[n/2]
+		s.P99 = lat[(n*99)/100]
 	}
 	return s
 }
@@ -319,6 +391,8 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) loop() {
 	defer close(e.done)
 	defer close(e.events)
+	e.startShards()
+	defer e.stopShards()
 
 	free := make([]*nn.DecodeState, e.cfg.MaxBatch)
 	for i := range free {
@@ -449,10 +523,10 @@ func (e *Engine) admit(p *pending, free *[]*nn.DecodeState, fail func(*pending, 
 	return s
 }
 
-// step runs one mixed prefill/decode forward over the active batch, samples
-// or scores, and retires finished sequences (returning their slots to free).
-// This is the serving hot path: per-token work reuses engine-owned scratch
-// (states/toks/rows reset to [:0] each step) so a steady-state decode step
+// step runs one mixed prefill/decode forward over the active batch, sharded
+// across cores (see split), then retires finished sequences serially in
+// batch order, returning their slots to free. This is the serving hot path:
+// per-token work reuses engine-owned scratch, so a steady-state decode step
 // allocates nothing.
 //
 //photon:hotpath
@@ -460,52 +534,24 @@ func (e *Engine) step(active []*seqSlot, free *[]*nn.DecodeState) []*seqSlot {
 	if len(active) == 0 {
 		return active
 	}
-	e.states = e.states[:0]
-	e.toks = e.toks[:0]
-	for _, s := range active {
-		e.states = append(e.states, s.st) //photon:nolint hotpath-alloc -- engine scratch, reset to [:0] per step
-		e.toks = append(e.toks, s.feed()) //photon:nolint hotpath-alloc -- engine scratch, reset to [:0] per step
+	n := e.split(active)
+	for _, sh := range e.shards[1:n] {
+		sh.run <- struct{}{}
 	}
-	h := e.m.Decode(e.states, e.toks)
-
-	// Gather exactly the logit rows each sequence needs.
-	e.rows = e.rows[:0]
-	off := 0
-	for i, s := range active {
-		n := len(e.toks[i])
-		if s.score {
-			// Rows for positions promptLen-1 … len(seq)-2: each predicts
-			// the next continuation token.
-			for r := s.promptLen - 1; r < n; r++ {
-				e.rows = append(e.rows, off+r) //photon:nolint hotpath-alloc -- engine scratch, reset to [:0] per step
-			}
-		} else {
-			e.rows = append(e.rows, off+n-1) //photon:nolint hotpath-alloc -- engine scratch, reset to [:0] per step
-		}
-		off += n
+	e.shards[0].step()
+	for range n - 1 {
+		<-e.shardDone
 	}
-	logits := e.m.DecodeLogits(h, e.rows)
 
 	now := time.Now()
 	out := active[:0]
-	row := 0
 	sampled := int64(0)
 	for _, s := range active {
 		if s.score {
-			var lp float64
-			for j := 0; j < len(s.seq)-s.promptLen; j++ {
-				r := logits.Row(row)
-				lp += float64(r[s.seq[s.promptLen+j]]) - tensor.LogSumExpRow(r)
-				row++
-			}
-			e.retire(s, free, Result{LogProb: lp, Tokens: nil}, false, now)
+			e.retire(s, free, Result{LogProb: s.lp}, false, now)
 			continue
 		}
-		next := s.sampler.Sample(s.rng, logits.Row(row), s.p.req.Opts)
-		row++
 		sampled++
-		s.out = append(s.out, next) //photon:nolint hotpath-alloc -- capacity preallocated to MaxNew at admit
-		s.tok[0] = next
 		switch {
 		case len(s.out) >= s.p.req.MaxNew:
 			e.retire(s, free, Result{Tokens: s.out}, false, now)
@@ -520,6 +566,86 @@ func (e *Engine) step(active []*seqSlot, free *[]*nn.DecodeState) []*seqSlot {
 	e.mu.Unlock()
 	e.insTokens.Add(sampled)
 	return out
+}
+
+// split cuts active into contiguous runs, one per shard, and returns how
+// many shards have work. Runs are balanced by fed-token count: each cut
+// falls where the running total comes closest to an equal share, so a long
+// prefill gets a shard to itself instead of landing beside the
+// single-token decodes. Every used shard gets at least one sequence.
+//
+//photon:hotpath
+func (e *Engine) split(active []*seqSlot) int {
+	n := min(len(e.shards), len(active))
+	total := 0
+	for _, s := range active {
+		total += len(s.feed())
+	}
+	lo, acc := 0, 0
+	for k := 0; k < n; k++ {
+		hi := len(active)
+		if k < n-1 {
+			// Take the next sequence while the run still ends nearer the
+			// k+1-th share than it would without it: acc + w/2 ≤ share.
+			acc += len(active[lo].feed())
+			hi = lo + 1
+			for hi < len(active)-(n-1-k) {
+				w := len(active[hi].feed())
+				if n*(2*acc+w) > 2*total*(k+1) {
+					break
+				}
+				acc += w
+				hi++
+			}
+		}
+		e.shards[k].slots = active[lo:hi]
+		lo = hi
+	}
+	return n
+}
+
+// step decodes the shard's sequences with its own decoder, then scores
+// them or samples their next token into the slot.
+//
+//photon:hotpath
+func (sh *shard) step() {
+	sh.states, sh.toks, sh.rows = sh.states[:0], sh.toks[:0], sh.rows[:0]
+	off := 0
+	for _, s := range sh.slots {
+		tk := s.feed()
+		sh.states = append(sh.states, s.st) //photon:nolint hotpath-alloc -- shard scratch, reset to [:0] per step
+		sh.toks = append(sh.toks, tk)       //photon:nolint hotpath-alloc -- shard scratch, reset to [:0] per step
+		// Gather exactly the logit rows each sequence needs.
+		if s.score {
+			// Rows for positions promptLen-1 … len(seq)-2: each predicts
+			// the next continuation token.
+			for r := s.promptLen - 1; r < len(tk); r++ {
+				sh.rows = append(sh.rows, off+r) //photon:nolint hotpath-alloc -- shard scratch, reset to [:0] per step
+			}
+		} else {
+			sh.rows = append(sh.rows, off+len(tk)-1) //photon:nolint hotpath-alloc -- shard scratch, reset to [:0] per step
+		}
+		off += len(tk)
+	}
+	logits := sh.dec.Logits(sh.dec.Decode(sh.states, sh.toks), sh.rows)
+
+	row := 0
+	for _, s := range sh.slots {
+		if s.score {
+			s.lp = 0
+			for j := 0; j < len(s.seq)-s.promptLen; j++ {
+				r := logits.Row(row)
+				s.lp += float64(r[s.seq[s.promptLen+j]]) - tensor.LogSumExpRow(r)
+				row++
+			}
+			continue
+		}
+		next := s.sampler.Sample(s.rng, logits.Row(row), s.p.req.Opts)
+		row++
+		s.out = append(s.out, next) //photon:nolint hotpath-alloc -- capacity preallocated to MaxNew at admit
+		s.tok[0] = next
+	}
+	sh.steps++
 }
 
 // feed returns the tokens this sequence contributes to the next forward: its

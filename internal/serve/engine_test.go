@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -268,5 +269,141 @@ func TestEngineEvents(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("no event delivered")
+	}
+}
+
+// TestEngineShardedStep pins the sharded step against the in-process
+// references: with two cores and a full batch of eight mixed score and
+// greedy-generate requests, steps split across both shards, and every result
+// still matches eval.ContinuationLogProb or Model.Generate.
+func TestEngineShardedStep(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	m := testModel(9)
+	rng := rand.New(rand.NewSource(10))
+	tokens := func(n int) []int {
+		tk := make([]int, n)
+		for i := range tk {
+			tk[i] = rng.Intn(m.Cfg.VocabSize)
+		}
+		return tk
+	}
+	reqs := make([]Request, 8)
+	for i := range reqs {
+		if i%2 == 0 {
+			reqs[i] = Request{Prompt: tokens(3 + 2*i), Cont: tokens(2 + i)}
+		} else {
+			reqs[i] = Request{Prompt: tokens(1 + i), MaxNew: 4 + i}
+		}
+	}
+	// In-process references first: the engine owns the model once started.
+	wantLP := make([]float64, len(reqs))
+	wantTok := make([][]int, len(reqs))
+	for i, r := range reqs {
+		if len(r.Cont) > 0 {
+			wantLP[i] = eval.ContinuationLogProb(m, r.Prompt, r.Cont)
+		} else {
+			wantTok[i] = m.Generate(nil, r.Prompt, r.MaxNew, 0)
+		}
+	}
+
+	e := newEngine(m, Config{MaxBatch: 8, MaxSeq: 64})
+	if len(e.shards) != 2 {
+		t.Fatalf("engine at GOMAXPROCS 2 built %d shards, want 2", len(e.shards))
+	}
+	// Queue every request before the scheduler starts, so its first step
+	// admits the whole batch.
+	chans := make([]<-chan Result, len(reqs))
+	for i, r := range reqs {
+		ch, err := e.Submit(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans[i] = ch
+	}
+	go e.loop()
+	defer e.Close()
+
+	for i, ch := range chans {
+		res := <-ch
+		if res.Err != nil {
+			t.Fatalf("request %d: %v", i, res.Err)
+		}
+		if len(reqs[i].Cont) > 0 {
+			if d := math.Abs(res.LogProb - wantLP[i]); d > 1e-4 {
+				t.Fatalf("request %d: served score %g, in-process %g", i, res.LogProb, wantLP[i])
+			}
+			continue
+		}
+		if len(res.Tokens) != len(wantTok[i]) {
+			t.Fatalf("request %d: %d tokens, want %d", i, len(res.Tokens), len(wantTok[i]))
+		}
+		for j := range res.Tokens {
+			if res.Tokens[j] != wantTok[i][j] {
+				t.Fatalf("request %d token %d: served %d, in-process %d", i, j, res.Tokens[j], wantTok[i][j])
+			}
+		}
+	}
+	e.Close() // the loop has exited: the shard counters are final
+	if e.shards[1].steps == 0 {
+		t.Fatal("the second shard never ran a step")
+	}
+}
+
+// TestEngineShardedStepZeroAlloc asserts that a warm steady-state decode
+// step sharded across two cores performs zero heap allocations. It counts
+// runtime.MemStats.Mallocs, which is process-wide, so the shard workers'
+// allocations count too (testing.AllocsPerRun would pin GOMAXPROCS to 1 and
+// leave the step on one shard).
+func TestEngineShardedStepZeroAlloc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	m := testModel(11)
+	const maxBatch, maxNew = 8, 24
+	e := newEngine(m, Config{MaxBatch: maxBatch, MaxSeq: 64})
+	e.startShards()
+	defer e.stopShards()
+	free := make([]*nn.DecodeState, maxBatch)
+	for i := range free {
+		free[i] = m.NewDecodeState(e.cfg.MaxSeq)
+	}
+	fail := func(_ *pending, err error) { t.Fatalf("request rejected: %v", err) }
+
+	// wave runs one full batch of identically shaped sampled generations to
+	// completion and returns the heap allocations of its steady-state decode
+	// steps: admission, the prefill step and the retiring step are excluded.
+	wave := func() uint64 {
+		pend := make([]*pending, maxBatch)
+		active := make([]*seqSlot, maxBatch)
+		for i := range pend {
+			pend[i] = &pending{
+				req:      Request{Prompt: []int{1 + i, 2, 3}, MaxNew: maxNew, Seed: int64(i), Opts: nn.SampleOpts{Temperature: 1}},
+				res:      make(chan Result, 1),
+				enqueued: time.Now(),
+			}
+			active[i] = e.admit(pend[i], &free, fail)
+		}
+		active = e.step(active, &free) // prefill
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for k := 2; k < maxNew; k++ {
+			active = e.step(active, &free)
+		}
+		runtime.ReadMemStats(&after)
+		for len(active) > 0 {
+			active = e.step(active, &free)
+		}
+		for _, p := range pend {
+			if res := <-p.res; res.Err != nil || len(res.Tokens) != maxNew {
+				t.Fatalf("generation returned %d tokens, err %v", len(res.Tokens), res.Err)
+			}
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	wave()
+	wave()
+	if n := wave(); n != 0 {
+		t.Fatalf("steady-state sharded decode steps allocated %d times, want 0", n)
+	}
+	if e.shards[1].steps == 0 {
+		t.Fatal("the second shard never ran a step")
 	}
 }
