@@ -97,6 +97,23 @@ func (c *Client) NumParams() int {
 	return 0
 }
 
+// releaseActivations drops the activation arenas of every model this client
+// trains — its own replica, its sub-nodes' and its DDP replicas' — keeping
+// their weights. A later round rebuilds them.
+func (c *Client) releaseActivations() {
+	if c.Model != nil {
+		c.Model.ReleaseActivations()
+	}
+	for _, node := range c.SubNodes {
+		node.releaseActivations()
+	}
+	if c.ddp != nil {
+		for _, m := range c.ddp.replicas {
+			m.ReleaseActivations()
+		}
+	}
+}
+
 // RoundResult is what an LLM-C returns to the aggregator.
 type RoundResult struct {
 	// Update is the pseudo-gradient contribution θt − θt_k.

@@ -1278,7 +1278,12 @@ func (s *Session) ServeConn(ctx context.Context, conn *link.Conn, onRound ...fun
 // single-connection Session that accepts whatever codec the aggregator
 // announces. See Session.ServeConn for the protocol; resilient clients
 // that must keep codec state across reconnects build a Session directly.
+// When the session ends the client's activation arenas are released, so a
+// finished client that is kept for its weights does not also pin a training
+// step's worth of scratch; a Session's ServeConn keeps them across
+// reconnects.
 func ServeClient(ctx context.Context, conn *link.Conn, client *Client, spec LocalSpec, onRound ...func(metrics.Round)) error {
+	defer client.releaseActivations()
 	s := &Session{Client: client, Spec: spec}
 	return s.ServeConn(ctx, conn, onRound...)
 }

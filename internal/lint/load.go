@@ -21,6 +21,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -170,11 +171,23 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range entries {
-		if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+		if !e.IsDir() && buildable(dir, e.Name()) {
 			return true
 		}
 	}
 	return false
+}
+
+// buildable reports whether the named file in dir is a non-test Go source
+// file that the go command would compile for the host platform: its
+// _GOOS/_GOARCH file-name suffix and //go:build line must match, so
+// per-architecture variants of one declaration are not both type-checked.
+func buildable(dir, name string) bool {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	return ok && err == nil
 }
 
 // importPathFor maps a directory under the module root to its import path.
@@ -228,7 +241,7 @@ func (p *Program) load(path, dir string, chain []string) (*Package, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !buildable(dir, name) {
 			continue
 		}
 		f, err := parser.ParseFile(p.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

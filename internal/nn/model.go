@@ -166,6 +166,25 @@ func (m *Model) Workspace() *Workspace {
 	return m.ws
 }
 
+// ReleaseActivations drops the training arena and the backward caches
+// that point into it, so a model that has finished training holds only its
+// parameters (weights, gradients) between uses. The caches pin the last
+// forward's activations, so releasing the arena alone frees only part of
+// the scratch. The next Loss or ForwardBackward rebuilds both; its result
+// is unchanged.
+// Not safe concurrently with any other use of the model.
+func (m *Model) ReleaseActivations() {
+	if m.ws != nil {
+		m.ws.Release()
+	}
+	for _, b := range m.Blocks {
+		b.LN1.xhat, b.LN2.xhat, b.Act.x = nil, nil, nil
+		b.FC1.x, b.FC2.x, b.Attn.QKV.x, b.Attn.Out.x = nil, nil, nil, nil
+		b.Attn.q, b.Attn.k, b.Attn.v, b.Attn.probs = nil, nil, nil, nil
+	}
+	m.LNF.xhat = nil
+}
+
 // Batch is one training micro-batch of token sequences. Targets[i][t] is the
 // next-token label for Inputs[i][t]; a negative target is ignored (padding).
 type Batch struct {

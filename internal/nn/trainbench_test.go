@@ -187,7 +187,7 @@ func TestWriteTrainBenchJSON(t *testing.T) {
 			AllocsPerStep: prePRBaseline.AllocsPerStep,
 		},
 		SpeedupVsBase:   prePRBaseline.NsPerStep / nsPerStep,
-		PairedSpeedup:   "interleaved same-window A/B vs commit 4de1506: 2.0-2.8x (min-vs-min 2.3x)",
+		PairedSpeedup:   "interleaved same-window A/B: vs commit 4de1506 (pre-kernel baseline) 2.0-2.8x (min-vs-min 2.3x); AVX2/FMA micro-kernels vs commit 88c96f4 (scalar Go micro-kernels) 1.70-2.08x over 10 pairs, median 2.01x",
 		BaselineComment: "scalar-loop attention + per-step allocations, commit 4de1506",
 		Comment:         "full train step (zero grads + fwd + bwd + clip + AdamW) at Quick scale",
 	}

@@ -80,6 +80,23 @@ func (w *Workspace) Reset() {
 	}
 }
 
+// Release drops every matrix the workspace holds — the free lists and the
+// matrices taken since the last Reset — so the garbage collector can
+// reclaim the arena once no caller references them. The workspace stays
+// usable: the next step allocates its matrices afresh, and because the
+// emptied free lists keep their capacity the step after it is
+// allocation-free again. Like Reset, it invalidates every outstanding
+// reference from this workspace.
+func (w *Workspace) Release() {
+	for n, bucket := range w.free {
+		clear(bucket)
+		w.free[n] = bucket[:0]
+	}
+	clear(w.used)
+	w.used = w.used[:0]
+	w.retained = 0
+}
+
 // SetSizeClasses selects the workspace retention policy. Off (the default,
 // used by training) buckets recycled buffers by exact element count — every
 // step reuses identical shapes, so exact matching wastes nothing. On (used by

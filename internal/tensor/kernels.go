@@ -13,12 +13,21 @@ import (
 //   - dot4: one streamed A row feeds four simultaneous dot products against
 //     four B rows (the Bᵀ kernels).
 //   - axpy4in: four streamed X rows accumulate into one Y row (causal P·V).
+//   - axpy4p2, axpy4in2, dot4x2: pairs of the above fused, so each row
+//     loaded or stored serves twice the multiply-adds.
 //   - 2D cache blocking: the shared K dimension is walked in kcBlock-sized
 //     panels so the active slices of A and B stay resident in L1/L2 while a
 //     band of C is produced.
 //
 // All kernels operate on [lo, hi) bands of their outer dimension so the pool
 // can split work without synchronization: each band owns its C rows.
+//
+// The micro-kernels at the bottom of the file have two bodies. On amd64 CPUs
+// with AVX2 and FMA (useAVX2, detected once per process in simd_amd64.go)
+// the 8-aligned prefix of each row runs in the assembly of simd_amd64.s,
+// eight float32 lanes per instruction; the scalar Go loop finishes the
+// remainder. Everywhere else the scalar loop is the whole kernel, and it is
+// the reference the assembly is tested against.
 
 // kcBlock is the K-dimension cache block: 128 float32 columns × (4 C rows +
 // 1 B row) ≈ 2.5 KB of hot panel per tile, comfortably inside L1.
@@ -478,6 +487,13 @@ func SoftmaxRows(m *Matrix) {
 }
 
 // --- register-tiled micro-kernels ---
+//
+// Each kernel hands the n&^7 prefix of its rows to its AVX2/FMA body when
+// useAVX2 is set and finishes the rest with its scalar loop. Every row is
+// resliced to [k:n] on both paths so the compiler can prove the scalar loop
+// in bounds. The vector bodies fuse multiply and add and sum dot products
+// in eight lanes, so their results differ from the scalar loop's in the
+// last bits; each path is deterministic.
 
 // axpy4 computes y0..y3 += a0..a3 * x: one streamed load of x feeds four
 // output rows (the 4-row register tile of the sgemm kernel).
@@ -485,10 +501,16 @@ func SoftmaxRows(m *Matrix) {
 //photon:hotpath
 func axpy4(a0, a1, a2, a3 float32, x, y0, y1, y2, y3 []float32) {
 	n := len(x)
-	y0 = y0[:n]
-	y1 = y1[:n]
-	y2 = y2[:n]
-	y3 = y3[:n]
+	k := 0
+	if useAVX2 && n >= 8 {
+		k = n &^ 7
+		axpy4AVX2(a0, a1, a2, a3, &x[0], &y0[:n][0], &y1[:n][0], &y2[:n][0], &y3[:n][0], k)
+	}
+	x = x[k:]
+	y0 = y0[k:n]
+	y1 = y1[k:n]
+	y2 = y2[k:n]
+	y3 = y3[k:n]
 	for i, xv := range x {
 		y0[i] += a0 * xv
 		y1[i] += a1 * xv
@@ -503,10 +525,16 @@ func axpy4(a0, a1, a2, a3 float32, x, y0, y1, y2, y3 []float32) {
 //photon:hotpath
 func axpy4in(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32) {
 	n := len(y)
-	x0 = x0[:n]
-	x1 = x1[:n]
-	x2 = x2[:n]
-	x3 = x3[:n]
+	k := 0
+	if useAVX2 && n >= 8 {
+		k = n &^ 7
+		axpy4inAVX2(a0, a1, a2, a3, &x0[:n][0], &x1[:n][0], &x2[:n][0], &x3[:n][0], &y[0], k)
+	}
+	y = y[k:]
+	x0 = x0[k:n]
+	x1 = x1[k:n]
+	x2 = x2[k:n]
+	x3 = x3[k:n]
 	for i := range y {
 		y[i] += a0*x0[i] + a1*x1[i] + a2*x2[i] + a3*x3[i]
 	}
@@ -517,10 +545,16 @@ func axpy4in(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32) {
 //photon:hotpath
 func dot4(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
 	n := len(x)
-	y0 = y0[:n]
-	y1 = y1[:n]
-	y2 = y2[:n]
-	y3 = y3[:n]
+	k := 0
+	if useAVX2 && n >= 8 {
+		k = n &^ 7
+		s0, s1, s2, s3 = dot4AVX2(&x[0], &y0[:n][0], &y1[:n][0], &y2[:n][0], &y3[:n][0], k)
+	}
+	x = x[k:]
+	y0 = y0[k:n]
+	y1 = y1[k:n]
+	y2 = y2[k:n]
+	y3 = y3[k:n]
 	for i, xv := range x {
 		s0 += xv * y0[i]
 		s1 += xv * y1[i]
@@ -537,11 +571,18 @@ func dot4(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
 //photon:hotpath
 func axpy4p2(a0, a1, a2, a3, b0, b1, b2, b3 float32, x, z, y0, y1, y2, y3 []float32) {
 	n := len(x)
-	z = z[:n]
-	y0 = y0[:n]
-	y1 = y1[:n]
-	y2 = y2[:n]
-	y3 = y3[:n]
+	k := 0
+	if useAVX2 && n >= 8 {
+		k = n &^ 7
+		axpy4p2AVX2(a0, a1, a2, a3, b0, b1, b2, b3,
+			&x[0], &z[:n][0], &y0[:n][0], &y1[:n][0], &y2[:n][0], &y3[:n][0], k)
+	}
+	x = x[k:]
+	z = z[k:n]
+	y0 = y0[k:n]
+	y1 = y1[k:n]
+	y2 = y2[k:n]
+	y3 = y3[k:n]
 	for i, xv := range x {
 		zv := z[i]
 		y0[i] += a0*xv + b0*zv
@@ -558,11 +599,18 @@ func axpy4p2(a0, a1, a2, a3, b0, b1, b2, b3 float32, x, z, y0, y1, y2, y3 []floa
 //photon:hotpath
 func axpy4in2(a0, a1, a2, a3, b0, b1, b2, b3 float32, x0, x1, x2, x3, y, z []float32) {
 	n := len(y)
-	x0 = x0[:n]
-	x1 = x1[:n]
-	x2 = x2[:n]
-	x3 = x3[:n]
-	z = z[:n]
+	k := 0
+	if useAVX2 && n >= 8 {
+		k = n &^ 7
+		axpy4in2AVX2(a0, a1, a2, a3, b0, b1, b2, b3,
+			&x0[:n][0], &x1[:n][0], &x2[:n][0], &x3[:n][0], &y[0], &z[:n][0], k)
+	}
+	y = y[k:]
+	x0 = x0[k:n]
+	x1 = x1[k:n]
+	x2 = x2[k:n]
+	x3 = x3[k:n]
+	z = z[k:n]
 	for i := range y {
 		v0, v1, v2, v3 := x0[i], x1[i], x2[i], x3[i]
 		y[i] += a0*v0 + a1*v1 + a2*v2 + a3*v3
@@ -576,11 +624,18 @@ func axpy4in2(a0, a1, a2, a3, b0, b1, b2, b3 float32, x0, x1, x2, x3, y, z []flo
 //photon:hotpath
 func dot4x2(x0, x1, y0, y1, y2, y3 []float32) (s00, s01, s02, s03, s10, s11, s12, s13 float32) {
 	n := len(x0)
-	x1 = x1[:n]
-	y0 = y0[:n]
-	y1 = y1[:n]
-	y2 = y2[:n]
-	y3 = y3[:n]
+	k := 0
+	if useAVX2 && n >= 8 {
+		k = n &^ 7
+		s00, s01, s02, s03, s10, s11, s12, s13 = dot4x2AVX2(&x0[0], &x1[:n][0],
+			&y0[:n][0], &y1[:n][0], &y2[:n][0], &y3[:n][0], k)
+	}
+	x0 = x0[k:]
+	x1 = x1[k:n]
+	y0 = y0[k:n]
+	y1 = y1[k:n]
+	y2 = y2[k:n]
+	y3 = y3[k:n]
 	for i, v0 := range x0 {
 		v1 := x1[i]
 		b0, b1, b2, b3 := y0[i], y1[i], y2[i], y3[i]

@@ -117,8 +117,11 @@ func goroutineID(stack string) string {
 func allowlisted(stack string) bool {
 	for _, marker := range []string{
 		// The package-global tensor worker pool: created on first parallel
-		// dispatch, lives for the process by design.
+		// dispatch, lives for the process by design. Where the compiler
+		// inlines ensurePool into dispatch (as under -race) the workers'
+		// closure is named after dispatch instead.
 		"photon/internal/tensor.ensurePool",
+		"photon/internal/tensor.dispatch.ensurePool",
 		// Testing harness machinery.
 		"testing.tRunner",
 		"testing.(*T).Run",
